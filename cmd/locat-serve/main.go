@@ -86,9 +86,6 @@ func parseFlags(args []string, stderr io.Writer) (cliConfig, error) {
 	fs.IntVar(&c.opts.QueueCap, "max-queue", 0, "maximum queued jobs before submissions are refused with 429 (0: default 256)")
 	fs.IntVar(&c.opts.JobRetries, "job-retries", 0, "automatic retries of failed jobs, each resuming from the job's checkpoint")
 	fs.StringVar(&c.opts.Chaos, "chaos", "", "deterministic fault-injection spec for resilience testing, e.g. drop=0.3,maxfail=2,seed=7")
-	fs.IntVar(&c.opts.RecommendK, "recommend-k", 0, "neighbors retrieved per /v1/recommend request (0: default 5)")
-	fs.Float64Var(&c.opts.RecommendMaxDistance, "recommend-max-dist", 0, "feature-space radius past which a history entry is not a neighbor (0: default 0.75)")
-	fs.Float64Var(&c.opts.RecommendConfidence, "recommend-confidence", 0, "confidence below which /v1/recommend falls back to a tuning job (0: default 0.5)")
 	fs.IntVar(&c.opts.MaxHistoryKeys, "max-history-keys", 0, "distinct workload fingerprints kept in the history store (0: default 1024, negative: unbounded)")
 	fs.Func("tenant", "per-tenant budget, repeatable: 'name:max_inflight=N,rate=R,burst=B,max_cluster_sec=S' ('*' applies to unlisted tenants)", func(v string) error {
 		name, budget, err := parseTenant(v)

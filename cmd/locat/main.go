@@ -62,10 +62,10 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("  estimated latency : %8.0f s (distance-weighted over %d neighbors, zero runs)\n",
-			rec.EstimatedSeconds, len(rec.Neighbors))
+			rec.EstimatedSec, len(rec.Neighbors))
 		for _, n := range rec.Neighbors {
 			fmt.Printf("    %-28s dist %.3f weight %.2f tuned %.0f s @ %.0f GB (%d obs)\n",
-				n.JobID, n.Distance, n.Weight, n.TunedSeconds, n.TargetGB, n.Observations)
+				n.JobID, n.Distance, n.Weight, n.TunedSec, n.TargetGB, n.Obs)
 		}
 		if *out != "" {
 			if err := os.WriteFile(*out, []byte(rec.SparkConf), 0o644); err != nil {

@@ -74,6 +74,6 @@ func main() {
 	fmt.Println("\nHistory store now holds:")
 	for _, h := range hist {
 		fmt.Printf("  %s  job=%s  target=%.0f GB  obs=%d\n",
-			h.Key, h.JobID, h.TargetGB, h.Observations)
+			h.Key, h.JobID, h.TargetGB, h.Obs)
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 func TestFingerprintStable(t *testing.T) {
 	spec := JobSpec{Cluster: "x86", Benchmark: "TPC-H", DataSizeGB: 150, Seed: 3}
-	if err := spec.normalize(); err != nil {
+	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	a := NewFingerprint(spec)

@@ -9,7 +9,6 @@ import (
 
 	"locat/internal/conf"
 	"locat/internal/core"
-	"locat/internal/dagp"
 	"locat/internal/progress"
 	"locat/internal/service/retrieve"
 	"locat/internal/sparksim"
@@ -29,7 +28,7 @@ const (
 // RecommendOptions tune one recommendation: how many neighbors to retrieve,
 // how far a workload may be and still count as a neighbor, and the
 // confidence below which the request falls back to a real tuning session.
-// Zero values pick the service's configured defaults.
+// Zero values pick the Default* constants above.
 type RecommendOptions struct {
 	K             int     `json:"k,omitempty"`
 	MaxDistance   float64 `json:"max_distance,omitempty"`
@@ -116,10 +115,6 @@ type Recommender struct {
 	path  string // index file ("" = in-memory only)
 	logf  progress.Logf
 
-	// maxPriorObs caps the warm-start prior built from retrieved neighbors
-	// (mirrors Config.MaxPriorObs).
-	maxPriorObs int
-
 	mu sync.Mutex // serializes index mutation + persistence
 	ix *retrieve.Index
 }
@@ -129,7 +124,7 @@ type Recommender struct {
 // contents — vectors survive restarts, and entries added or evicted while
 // the index was offline are reconciled here.
 func NewRecommender(store Store) *Recommender {
-	rc := &Recommender{store: store, maxPriorObs: 48}
+	rc := &Recommender{store: store}
 	if ip, ok := store.(interface{ IndexPath() string }); ok {
 		rc.path = ip.IndexPath()
 		rc.ix = retrieve.Load(rc.path)
@@ -314,7 +309,7 @@ func (rc *Recommender) saveLocked() {
 // Recommendation has outcome "hit" or "miss"; job submission is the
 // service's concern.
 func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendation, *core.Prior, error) {
-	if err := spec.normalize(); err != nil {
+	if err := spec.Normalize(); err != nil {
 		return nil, nil, err
 	}
 	o = o.withDefaults()
@@ -366,7 +361,7 @@ func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendat
 	rec := &Recommendation{Outcome: "miss", Neighbors: []Neighbor{}}
 	var encs [][]float64
 	var dists []float64
-	var used []neighborHit
+	var used []Entry
 	for _, h := range hits {
 		c, ok := entryConfig(h.e)
 		if !ok {
@@ -374,9 +369,10 @@ func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendat
 		}
 		encs = append(encs, space.Encode(c))
 		dists = append(dists, h.d)
-		used = append(used, h)
+		used = append(used, h.e)
 	}
-	prior := rc.neighborsPrior(used, spec, space)
+	// used is nearest-first, so the closest workload's artifacts win.
+	prior := priorFrom(used, used, spec.DataSizeGB, space)
 	if len(used) == 0 {
 		return rec, prior, nil
 	}
@@ -385,17 +381,17 @@ func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendat
 	rec.BestParams = paramsToMap(rec.BestConfig)
 	rec.SparkConf = sparkConfString(rec.BestConfig)
 	rec.Confidence = retrieve.Confidence(dists, o.K, o.MaxDistance)
-	for i, h := range used {
+	for i, e := range used {
 		rec.Neighbors = append(rec.Neighbors, Neighbor{
-			JobID:    h.e.JobID,
-			Key:      h.e.Fingerprint.Key(),
-			Distance: h.d,
+			JobID:    e.JobID,
+			Key:      e.Fingerprint.Key(),
+			Distance: dists[i],
 			Weight:   weights[i],
-			TunedSec: h.e.TunedSec,
-			TargetGB: h.e.TargetGB,
-			Obs:      len(h.e.Obs),
+			TunedSec: e.TunedSec,
+			TargetGB: e.TargetGB,
+			Obs:      len(e.Obs),
 		})
-		rec.EstimatedSec += weights[i] * h.e.TunedSec
+		rec.EstimatedSec += weights[i] * e.TunedSec
 	}
 	if rec.Confidence >= o.MinConfidence {
 		rec.Outcome = "hit"
@@ -407,46 +403,6 @@ func (rc *Recommender) Recommend(spec JobSpec, o RecommendOptions) (*Recommendat
 type neighborHit struct {
 	e Entry
 	d float64
-}
-
-// neighborsPrior assembles the warm-start prior of a refine/fallback
-// session from the retrieved entries: observations ranked and capped by
-// dagp.SelectTransfer against the target size, QCSA/IICP artifacts from the
-// nearest entry that has them.
-func (rc *Recommender) neighborsPrior(used []neighborHit, spec JobSpec, space *conf.Space) *core.Prior {
-	var obs []core.PriorObs
-	var samples []dagp.Sample
-	for _, h := range used {
-		for _, o := range h.e.Obs {
-			if len(o.Params) != space.Dim() {
-				continue
-			}
-			c := conf.Config(o.Params)
-			obs = append(obs, core.PriorObs{Conf: c, DataGB: o.DataGB, Sec: o.Sec, QuerySecs: o.QuerySecs})
-			samples = append(samples, dagp.Sample{X: space.Encode(c), DataGB: o.DataGB, Sec: o.Sec})
-		}
-	}
-	if len(obs) == 0 {
-		return nil
-	}
-	prior := &core.Prior{}
-	for _, i := range dagp.SelectTransfer(samples, spec.DataSizeGB, rc.maxPriorObs) {
-		prior.Obs = append(prior.Obs, obs[i])
-	}
-	// used arrives nearest-first; the closest workload's artifacts win.
-	for _, h := range used {
-		if prior.Sensitive == nil && len(h.e.Sensitive) > 0 {
-			prior.Sensitive = append([]string(nil), h.e.Sensitive...)
-		}
-		if prior.Important == nil && len(h.e.Important) > 0 {
-			for _, name := range h.e.Important {
-				if _, idx, ok := conf.ParamByName(name); ok {
-					prior.Important = append(prior.Important, idx)
-				}
-			}
-		}
-	}
-	return prior
 }
 
 // entryConfig reconstructs an entry's best configuration from its
@@ -471,22 +427,12 @@ func entryConfig(e Entry) (conf.Config, bool) {
 // or fallback path. The retrieval itself never executes a sample run.
 func (s *Service) Recommend(req RecommendRequest) (*Recommendation, error) {
 	start := time.Now()
-	o := req.RecommendOptions
-	if o.K <= 0 {
-		o.K = s.cfg.RecommendK
-	}
-	if o.MaxDistance <= 0 {
-		o.MaxDistance = s.cfg.RecommendMaxDistance
-	}
-	if o.MinConfidence <= 0 {
-		o.MinConfidence = s.cfg.RecommendConfidence
-	}
 	// Refine and fallback jobs are work a user is waiting on: they default
 	// to the interactive priority class unless the caller says otherwise.
 	if req.JobSpec.Priority == "" {
 		req.JobSpec.Priority = PriorityInteractive
 	}
-	rec, prior, err := s.rec.Recommend(req.JobSpec, o)
+	rec, prior, err := s.rec.Recommend(req.JobSpec, req.RecommendOptions)
 	if err != nil {
 		s.metrics.recommendOutcome("error").Inc()
 		return nil, err

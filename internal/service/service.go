@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -77,7 +79,10 @@ type JobSpec struct {
 	Backend string `json:"backend,omitempty"`
 }
 
-func (s *JobSpec) normalize() error {
+// Normalize validates the spec and fills in its defaults. It is the one
+// validation every tuning entry point shares: Submit, Recommend and the
+// public locat.Tune / locat.CompareBaselines.
+func (s *JobSpec) Normalize() error {
 	if s.Priority == "" {
 		s.Priority = PriorityBatch
 	}
@@ -122,6 +127,37 @@ func (s JobSpec) cluster() *sparksim.Cluster {
 		return sparksim.X86()
 	}
 	return sparksim.ARM()
+}
+
+// Resolve returns a normalized spec's simulated cluster and application.
+func (s JobSpec) Resolve() (*sparksim.Cluster, *sparksim.Application, error) {
+	app, err := workloads.ByName(s.Benchmark)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.cluster(), app, nil
+}
+
+// CoreOptions maps the spec's seed, sample budgets and technique switches
+// onto the core pipeline's options. Session control — progress logging,
+// tracing, cancellation, deadlines and cluster-second budgets — is the
+// caller's to add.
+func (s JobSpec) CoreOptions() core.Options {
+	opts := core.DefaultOptions()
+	opts.Seed = s.Seed
+	if s.NQCSA > 0 {
+		opts.NQCSA = s.NQCSA
+	}
+	if s.NIICP > 0 {
+		opts.NIICP = s.NIICP
+	}
+	if s.MaxIterations > 0 {
+		opts.MaxIter = s.MaxIterations
+	}
+	opts.UseQCSA = !s.DisableQCSA
+	opts.UseIICP = !s.DisableIICP
+	opts.UseDAGP = !s.DisableDAGP
+	return opts
 }
 
 // State is a job's lifecycle position.
@@ -208,7 +244,9 @@ type JobResult struct {
 	SeededFrom []Neighbor `json:"seeded_from,omitempty"`
 }
 
-// JobStatus is the externally visible snapshot of a job.
+// JobStatus is the externally visible snapshot of a job. Result is the
+// job's own result, the same value Service.Result returns and the HTTP API
+// serves; callers must treat it, its maps and its slices as read-only.
 type JobStatus struct {
 	ID          string     `json:"id"`
 	Spec        JobSpec    `json:"spec"`
@@ -269,10 +307,6 @@ type Config struct {
 	QueueCap int
 	// Store is the history store (default: a fresh in-memory store).
 	Store Store
-	// MaxPriorObs caps the observations injected into a warm-started
-	// session (default 48), keeping the GP fitting cost bounded no matter
-	// how much history accumulates.
-	MaxPriorObs int
 	// Backend is the default execution backend of tuning sessions (an
 	// internal/runner spec; empty selects the simulator). Jobs may override
 	// it per submission. Record-mode backends share one trace sink across
@@ -305,12 +339,6 @@ type Config struct {
 	// resilience testing; invalid specs disable chaos with a log line — use
 	// the public facade for validated construction.
 	Chaos string
-	// RecommendK, RecommendMaxDistance and RecommendConfidence are the
-	// defaults of the zero-execution recommendation tier (0 picks 5 / 0.75
-	// / 0.5); individual requests may override them.
-	RecommendK           int
-	RecommendMaxDistance float64
-	RecommendConfidence  float64
 	// MaxHistoryKeys caps the distinct fingerprint keys the history store
 	// retains (default 1024; negative: unbounded). Beyond the cap the least
 	// recently written key is evicted wholesale, so the store and its k-NN
@@ -383,12 +411,12 @@ func New(cfg Config) *Service {
 	if cfg.Store == nil {
 		cfg.Store = NewMemStore()
 	}
-	if cfg.MaxPriorObs <= 0 {
-		cfg.MaxPriorObs = 48
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
+	// The budgets are read for the service's lifetime; a private copy keeps
+	// later edits to the caller's map from racing admission.
+	cfg.Tenants = maps.Clone(cfg.Tenants)
 	if cfg.MaxHistoryKeys == 0 {
 		cfg.MaxHistoryKeys = 1024
 	}
@@ -409,7 +437,6 @@ func New(cfg Config) *Service {
 	s.metrics = newServiceMetrics(cfg.Metrics, s)
 	s.rec = NewRecommender(cfg.Store)
 	s.rec.logf = cfg.Logf
-	s.rec.maxPriorObs = cfg.MaxPriorObs
 	switch {
 	case cfg.CheckpointEvery == 0:
 		s.checkpointEvery = 8
@@ -478,7 +505,7 @@ func (s *Service) resumeCheckpointed() {
 			resume:    cp,
 		}
 		// Specs checkpointed before priorities existed normalize to batch.
-		if err := j.spec.normalize(); err != nil {
+		if err := j.spec.Normalize(); err != nil {
 			s.logf("resume: checkpoint %s holds an invalid spec: %v", id, err)
 			continue
 		}
@@ -547,7 +574,7 @@ func (s *Service) Submit(spec JobSpec) (string, error) {
 // submit is Submit plus the recommendation tier's seeding: refine and
 // fallback jobs carry the retrieved prior and its provenance.
 func (s *Service) submit(spec JobSpec, seed *core.Prior, from []Neighbor) (string, error) {
-	if err := spec.normalize(); err != nil {
+	if err := spec.Normalize(); err != nil {
 		return "", err
 	}
 	j := &job{
@@ -1014,8 +1041,7 @@ func (s *Service) runJobSafe(j *job) (res *JobResult, err error) {
 // store, run the core pipeline, persist the outcome.
 func (s *Service) runJob(j *job) (*JobResult, error) {
 	spec := j.spec
-	cl := spec.cluster()
-	app, err := workloads.ByName(spec.Benchmark)
+	cl, app, err := spec.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -1078,20 +1104,7 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	}
 	space := run.Space()
 
-	opts := core.DefaultOptions()
-	opts.Seed = spec.Seed
-	if spec.NQCSA > 0 {
-		opts.NQCSA = spec.NQCSA
-	}
-	if spec.NIICP > 0 {
-		opts.NIICP = spec.NIICP
-	}
-	if spec.MaxIterations > 0 {
-		opts.MaxIter = spec.MaxIterations
-	}
-	opts.UseQCSA = !spec.DisableQCSA
-	opts.UseIICP = !spec.DisableIICP
-	opts.UseDAGP = !spec.DisableDAGP
+	opts := spec.CoreOptions()
 	// Stop covers both user cancellation and the graceful-drain suspend
 	// signal — the worker disambiguates on the way out.
 	opts.Stop = func() bool { return j.cancelled.Load() || j.suspend.Load() }
@@ -1112,8 +1125,8 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 			// lookup (its neighbor set is a superset of the bucket walk).
 			opts.Prior = j.seed
 			s.logf("[%s] seeded with %d neighbor observations from retrieval", j.id, len(j.seed.Obs))
-		} else if prior, n := s.retrievePrior(j, space); prior != nil {
-			s.logf("[%s] retrieved %d prior observations from history", j.id, n)
+		} else if prior := s.retrievePrior(j, space); prior != nil {
+			s.logf("[%s] retrieved %d prior observations from history", j.id, len(prior.Obs))
 			opts.Prior = prior
 		}
 	}
@@ -1149,11 +1162,29 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 		s.logf("[%s] degraded: %s; recommending best observed", j.id, rep.Degraded)
 	}
 
+	res := NewJobResult(rep, run.NoiselessAppTime(app, space.Default(), spec.DataSizeGB))
+	res.SeededFrom = j.seededFrom
+	res.Runs, res.ClusterSec = tally.Snapshot()
+	if cache != nil {
+		res.ResumedRuns = cache.ResumedRuns()
+	}
+	if err := s.persist(j, rep, res); err != nil {
+		// The tuning result is still valid; losing the history entry only
+		// costs future warm starts.
+		s.logf("[%s] history store write failed: %v", j.id, err)
+	}
+	return res, nil
+}
+
+// NewJobResult builds the result of a finished core session whose default
+// configuration costs defaultSec at the target size. The execution tally
+// (Runs, ClusterSec, ResumedRuns) and SeededFrom are the service's to fill.
+func NewJobResult(rep *core.Report, defaultSec float64) *JobResult {
 	res := &JobResult{
 		BestConfig:   rep.Best.Clone(),
 		BestParams:   paramsToMap(rep.Best),
 		TunedSec:     rep.TunedSec,
-		DefaultSec:   run.NoiselessAppTime(app, space.Default(), spec.DataSizeGB),
+		DefaultSec:   defaultSec,
 		OverheadSec:  rep.OverheadSec,
 		SamplingSec:  rep.SamplingSec,
 		SearchSec:    rep.SearchSec,
@@ -1164,11 +1195,6 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 		SparkConf:    sparkConfString(rep.Best),
 		Degraded:     rep.Degraded,
 		FellBack:     rep.FellBack,
-		SeededFrom:   j.seededFrom,
-	}
-	res.Runs, res.ClusterSec = tally.Snapshot()
-	if cache != nil {
-		res.ResumedRuns = cache.ResumedRuns()
 	}
 	if rep.QCSA != nil {
 		res.SensitiveQueries = append([]string(nil), rep.QCSA.Sensitive...)
@@ -1176,12 +1202,7 @@ func (s *Service) runJob(j *job) (*JobResult, error) {
 	if rep.IICP != nil {
 		res.ImportantParams = importantNames(rep.IICP.Important)
 	}
-	if err := s.persist(j, rep, res); err != nil {
-		// The tuning result is still valid; losing the history entry only
-		// costs future warm starts.
-		s.logf("[%s] history store write failed: %v", j.id, err)
-	}
-	return res, nil
+	return res
 }
 
 // checkpointPrior converts a checkpoint's successful full-application
@@ -1214,14 +1235,18 @@ func checkpointPrior(cp *Checkpoint) *core.Prior {
 	return p
 }
 
-// retrievePrior assembles a core.Prior from history entries under the job's
-// fingerprint and its neighboring size buckets. Observations are ranked and
-// capped by dagp.SelectTransfer; the QCSA / IICP artifacts come from the
-// newest same-bucket entry (falling back to neighbors).
-func (s *Service) retrievePrior(j *job, space *conf.Space) (*core.Prior, int) {
-	fps := append([]Fingerprint{j.fp}, j.fp.Neighbors()...)
+// maxPriorObs caps the observations injected into a warm-started session,
+// keeping the GP fitting cost bounded no matter how much history
+// accumulates.
+const maxPriorObs = 48
+
+// retrievePrior assembles a warm-start prior from the history entries under
+// the job's fingerprint and its neighboring size buckets. The QCSA / IICP
+// artifacts come from the newest same-bucket entry (falling back to
+// neighbors).
+func (s *Service) retrievePrior(j *job, space *conf.Space) *core.Prior {
 	var entries []Entry
-	for _, fp := range fps {
+	for _, fp := range append([]Fingerprint{j.fp}, j.fp.Neighbors()...) {
 		es, err := s.store.Get(fp.Key())
 		if err != nil {
 			s.logf("[%s] history read %s failed: %v", j.id, fp.Key(), err)
@@ -1229,10 +1254,24 @@ func (s *Service) retrievePrior(j *job, space *conf.Space) (*core.Prior, int) {
 		}
 		entries = append(entries, es...)
 	}
-	if len(entries) == 0 {
-		return nil, 0
-	}
+	byArtifact := slices.Clone(entries)
+	sort.SliceStable(byArtifact, func(a, b int) bool {
+		sa, sb := byArtifact[a].Fingerprint.SizeBucket == j.fp.SizeBucket,
+			byArtifact[b].Fingerprint.SizeBucket == j.fp.SizeBucket
+		if sa != sb {
+			return sa
+		}
+		return byArtifact[a].CreatedUnix > byArtifact[b].CreatedUnix
+	})
+	return priorFrom(entries, byArtifact, j.spec.DataSizeGB, space)
+}
 
+// priorFrom assembles a warm-start prior from history entries: their
+// observations, in entry order, ranked and capped by dagp.SelectTransfer
+// against the target size, plus the QCSA / IICP artifacts of the first entry
+// in byArtifact that carries each. Observations stored under a different
+// parameter table are skipped; nil means no usable observation.
+func priorFrom(entries, byArtifact []Entry, targetGB float64, space *conf.Space) *core.Prior {
 	var obs []core.PriorObs
 	var samples []dagp.Sample
 	for _, e := range entries {
@@ -1250,24 +1289,13 @@ func (s *Service) retrievePrior(j *job, space *conf.Space) (*core.Prior, int) {
 		}
 	}
 	if len(obs) == 0 {
-		return nil, 0
+		return nil
 	}
 	prior := &core.Prior{}
-	for _, i := range dagp.SelectTransfer(samples, j.spec.DataSizeGB, s.cfg.MaxPriorObs) {
+	for _, i := range dagp.SelectTransfer(samples, targetGB, maxPriorObs) {
 		prior.Obs = append(prior.Obs, obs[i])
 	}
-
-	// Newest entry wins for the analysis artifacts; same-bucket entries are
-	// preferred over neighbors.
-	sort.SliceStable(entries, func(a, b int) bool {
-		sa, sb := entries[a].Fingerprint.SizeBucket == j.fp.SizeBucket,
-			entries[b].Fingerprint.SizeBucket == j.fp.SizeBucket
-		if sa != sb {
-			return sa
-		}
-		return entries[a].CreatedUnix > entries[b].CreatedUnix
-	})
-	for _, e := range entries {
+	for _, e := range byArtifact {
 		if prior.Sensitive == nil && len(e.Sensitive) > 0 {
 			prior.Sensitive = append([]string(nil), e.Sensitive...)
 		}
@@ -1279,7 +1307,7 @@ func (s *Service) retrievePrior(j *job, space *conf.Space) (*core.Prior, int) {
 			}
 		}
 	}
-	return prior, len(prior.Obs)
+	return prior
 }
 
 // persist writes the finished session into the history store.

@@ -32,20 +32,16 @@
 package locat
 
 import (
-	"errors"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"locat/internal/baselines"
-	"locat/internal/conf"
 	"locat/internal/core"
 	"locat/internal/obs"
 	"locat/internal/progress"
 	"locat/internal/runner"
-	"locat/internal/sparksim"
-	"locat/internal/workloads"
+	"locat/internal/service"
 )
 
 // Options configure a tuning session.
@@ -90,16 +86,17 @@ type Options struct {
 	Tenant string
 	// Priority is a Service job's scheduling class: "interactive"
 	// dispatches ahead of "batch" (the default) and is never shed under
-	// overload. Ignored by Tune.
+	// overload. Tune rejects an unknown class and otherwise ignores it.
 	Priority string
 	// DeadlineSec, when positive, bounds a Service job's wall-clock session
 	// time: past the deadline the session stops at the next evaluation
 	// boundary and returns its best-so-far configuration as a Degraded
-	// result. Ignored by Tune.
+	// result. Tune rejects a negative value and otherwise ignores it.
 	DeadlineSec float64
 	// MaxClusterSec, when positive, bounds the simulated cluster seconds a
 	// Service job may spend tuning — the deterministic twin of DeadlineSec.
-	// Exceeding it degrades the result, like a deadline. Ignored by Tune.
+	// Exceeding it degrades the result, like a deadline. Tune rejects a
+	// negative value and otherwise ignores it.
 	MaxClusterSec float64
 	// Parallelism bounds the goroutines used for the session's parallel
 	// work: the concurrent execution slots of independent sample-collection
@@ -180,7 +177,7 @@ type Result struct {
 	// and the runs went.
 	Phases []Phase
 
-	best conf.Config
+	sparkConf string
 }
 
 // Phase is one pipeline phase's share of a tuning session: "phase1/sampling"
@@ -201,13 +198,7 @@ type Phase struct {
 
 // SparkConf renders the tuned configuration in spark-defaults.conf syntax,
 // ready to drop into a cluster's conf directory.
-func (r *Result) SparkConf() string {
-	var b strings.Builder
-	// FormatSparkConf only errors on malformed configs, which Tune never
-	// produces.
-	_ = conf.FormatSparkConf(&b, r.best)
-	return b.String()
-}
+func (r *Result) SparkConf() string { return r.sparkConf }
 
 // Benchmarks returns the supported benchmark names (Table 1).
 func Benchmarks() []string {
@@ -217,48 +208,21 @@ func Benchmarks() []string {
 // Clusters returns the supported cluster names.
 func Clusters() []string { return []string{"arm", "x86"} }
 
-// clusterByName resolves a cluster name.
-func clusterByName(name string) (*sparksim.Cluster, error) {
-	switch name {
-	case "", "arm":
-		return sparksim.ARM(), nil
-	case "x86":
-		return sparksim.X86(), nil
-	}
-	return nil, fmt.Errorf("locat: unknown cluster %q (want arm or x86)", name)
-}
-
-func (o *Options) normalize() error {
-	if o.Benchmark == "" {
-		o.Benchmark = "TPC-DS"
-	}
-	if o.DataSizeGB == 0 {
-		o.DataSizeGB = 100
-	}
-	if o.DataSizeGB < 0 {
-		return errors.New("locat: negative data size")
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return nil
-}
-
 // Tune runs the full LOCAT pipeline (QCSA → IICP → BO with DAGP) and
-// returns the tuned configuration and its cost accounting.
+// returns the tuned configuration and its cost accounting. It validates o
+// as the Service validates a submission and assembles the same session;
+// only the service's job control (tenants, priorities, deadlines, budgets,
+// history retrieval) is left out.
 func Tune(o Options) (*Result, error) {
-	if err := o.normalize(); err != nil {
+	spec := o.spec()
+	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
-	cl, err := clusterByName(o.Cluster)
+	cl, app, err := spec.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	app, err := workloads.ByName(o.Benchmark)
-	if err != nil {
-		return nil, err
-	}
-	factory, err := runner.ParseSpec(o.Backend)
+	factory, err := runner.ParseSpec(spec.Backend)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +230,7 @@ func Tune(o Options) (*Result, error) {
 	// recording backend never leaks its sink, while the explicit Close
 	// below surfaces flush errors on success.
 	defer factory.Close()
-	run, err := factory.New(cl, o.Seed, "tune")
+	run, err := factory.New(cl, spec.Seed, "tune")
 	if err != nil {
 		return nil, err
 	}
@@ -278,23 +242,10 @@ func Tune(o Options) (*Result, error) {
 		// Injection below, healing above: drops and delays surface to the
 		// retry wrapper, which re-executes at the same run index — so a
 		// healed run's result is identical to a never-faulted one.
-		run = runner.NewRetrying(runner.NewChaos(run, *chaos), runner.RetryOptions{Seed: o.Seed})
+		run = runner.NewRetrying(runner.NewChaos(run, *chaos), runner.RetryOptions{Seed: spec.Seed})
 	}
 
-	opts := core.DefaultOptions()
-	opts.Seed = o.Seed
-	if o.NQCSA > 0 {
-		opts.NQCSA = o.NQCSA
-	}
-	if o.NIICP > 0 {
-		opts.NIICP = o.NIICP
-	}
-	if o.MaxIterations > 0 {
-		opts.MaxIter = o.MaxIterations
-	}
-	opts.UseQCSA = !o.DisableQCSA
-	opts.UseIICP = !o.DisableIICP
-	opts.UseDAGP = !o.DisableDAGP
+	opts := spec.CoreOptions()
 	opts.DataSchedule = o.Schedule
 	opts.Workers = o.Parallelism
 	if !o.Quiet {
@@ -304,7 +255,7 @@ func Tune(o Options) (*Result, error) {
 	opts.Tracer = timeline
 
 	start := time.Now()
-	rep, err := core.New(run, app, opts).Tune(o.DataSizeGB)
+	rep, err := core.New(run, app, opts).Tune(spec.DataSizeGB)
 	if err != nil {
 		return nil, err
 	}
@@ -316,35 +267,33 @@ func Tune(o Options) (*Result, error) {
 			return nil, fmt.Errorf("locat: execution backend failed: %w", err)
 		}
 	}
-
-	res := &Result{
-		best:            rep.Best,
-		BestParams:      paramsToMap(rep.Best),
-		TunedSeconds:    rep.TunedSec,
-		DefaultSeconds:  run.NoiselessAppTime(app, cl.Space().Default(), o.DataSizeGB),
-		OverheadSeconds: rep.OverheadSec,
-		SamplingSeconds: rep.SamplingSec,
-		SearchSeconds:   rep.SearchSec,
-		WarmStarted:     rep.WarmStarted,
-		Degraded:        rep.Degraded,
-		FellBack:        rep.FellBack,
-		Runs:            rep.Evaluations(),
-		Elapsed:         time.Since(start),
-		Phases:          phasesOf(timeline.Snapshot()),
-	}
-	if rep.QCSA != nil {
-		res.SensitiveQueries = append([]string(nil), rep.QCSA.Sensitive...)
-	}
-	if rep.IICP != nil {
-		params := conf.Params()
-		for _, j := range rep.IICP.Important {
-			res.ImportantParams = append(res.ImportantParams, params[j].Name)
-		}
-	}
+	res := resultOf(service.NewJobResult(rep, run.NoiselessAppTime(app, cl.Space().Default(), spec.DataSizeGB)))
+	res.Elapsed = time.Since(start)
+	res.Phases = phasesOf(timeline.Snapshot())
 	if err := factory.Close(); err != nil {
 		return nil, fmt.Errorf("locat: closing backend: %w", err)
 	}
 	return res, nil
+}
+
+// resultOf maps a job result onto the public Result. Elapsed and Phases are
+// the caller's to fill.
+func resultOf(jr *service.JobResult) *Result {
+	return &Result{
+		sparkConf:        jr.SparkConf,
+		BestParams:       jr.BestParams,
+		TunedSeconds:     jr.TunedSec,
+		DefaultSeconds:   jr.DefaultSec,
+		OverheadSeconds:  jr.OverheadSec,
+		SamplingSeconds:  jr.SamplingSec,
+		SearchSeconds:    jr.SearchSec,
+		WarmStarted:      jr.WarmStarted,
+		Degraded:         jr.Degraded,
+		FellBack:         jr.FellBack,
+		Runs:             jr.FullRuns + jr.RQARuns,
+		SensitiveQueries: jr.SensitiveQueries,
+		ImportantParams:  jr.ImportantParams,
+	}
 }
 
 // BaselineResult is one SOTA tuner's outcome on the same problem.
@@ -361,29 +310,26 @@ type BaselineResult struct {
 // CompareBaselines tunes the same (cluster, benchmark, size) problem with
 // the four state-of-the-art baseline tuners the paper compares against.
 func CompareBaselines(o Options) ([]BaselineResult, error) {
-	if err := o.normalize(); err != nil {
+	spec := o.spec()
+	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
-	cl, err := clusterByName(o.Cluster)
+	cl, app, err := spec.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	app, err := workloads.ByName(o.Benchmark)
-	if err != nil {
-		return nil, err
-	}
-	factory, err := runner.ParseSpec(o.Backend)
+	factory, err := runner.ParseSpec(spec.Backend)
 	if err != nil {
 		return nil, err
 	}
 	defer factory.Close()
 	var out []BaselineResult
 	for _, bt := range baselines.All() {
-		run, err := factory.New(cl, o.Seed, "baseline/"+bt.Name())
+		run, err := factory.New(cl, spec.Seed, "baseline/"+bt.Name())
 		if err != nil {
 			return nil, err
 		}
-		rep, err := bt.Tune(run, app, o.DataSizeGB, o.Seed+7)
+		rep, err := bt.Tune(run, app, spec.DataSizeGB, spec.Seed+7)
 		if err != nil {
 			return nil, err
 		}
@@ -415,15 +361,6 @@ func phasesOf(spans []obs.SpanRecord) []Phase {
 			ClusterSeconds: sp.ClusterSec,
 			Runs:           sp.Runs,
 		})
-	}
-	return out
-}
-
-// paramsToMap converts a configuration vector to a name→value map.
-func paramsToMap(c conf.Config) map[string]float64 {
-	out := make(map[string]float64, len(c))
-	for i, p := range conf.Params() {
-		out[p.Name] = c[i]
 	}
 	return out
 }

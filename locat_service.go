@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"time"
 
 	"locat/internal/progress"
 	"locat/internal/runner"
@@ -43,15 +42,6 @@ type ServiceOptions struct {
 	// fault injection plus the healing retry/breaker layer (same spec
 	// syntax as Options.Chaos). Meant for resilience testing.
 	Chaos string
-	// RecommendK, RecommendMaxDistance and RecommendConfidence are the
-	// service defaults of the zero-execution recommendation tier: neighbors
-	// retrieved per request, the distance past which a history entry no
-	// longer counts as a neighbor, and the confidence below which a
-	// recommendation falls back to a real tuning job. Zero picks 5 / 0.75 /
-	// 0.5.
-	RecommendK           int
-	RecommendMaxDistance float64
-	RecommendConfidence  float64
 	// MaxHistoryKeys caps the history store's distinct workload fingerprints
 	// (whole least-recently-written keys are evicted past the cap). Zero
 	// picks 1024; negative is unbounded.
@@ -63,45 +53,31 @@ type ServiceOptions struct {
 	Tenants map[string]TenantBudget
 }
 
-// TenantBudget bounds one tenant's admission. Zero fields are unlimited.
-type TenantBudget struct {
-	// MaxInFlight caps the tenant's queued-plus-running jobs.
-	MaxInFlight int
-	// SubmitRate and SubmitBurst are a token bucket on submissions:
-	// sustained jobs per second and the bucket depth above it (depth
-	// defaults to max(1, ceil(SubmitRate)) when a rate is set).
-	SubmitRate  float64
-	SubmitBurst int
-	// MaxClusterSec caps the tenant's cumulative simulated cluster seconds
-	// across all completed jobs; once exhausted, new submissions are
-	// refused until the operator raises the budget.
-	MaxClusterSec float64
-}
-
-// JobState is a job's lifecycle position: "queued", "running", "succeeded",
-// "failed", "cancelled", "shed" (a queued batch job displaced by
-// interactive work under overload) or "suspended" (parked by a graceful
-// drain; a restart with Resume requeues it under the same ID).
-type JobState string
-
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool { return service.State(s).Terminal() }
-
-// JobStatus is a snapshot of a submitted job.
-type JobStatus struct {
-	// ID is the handle Submit returned.
-	ID string
-	// State is the lifecycle position.
-	State JobState
-	// Err holds the failure message of a failed job.
-	Err string
-	// Fingerprint is the workload-fingerprint key the job's history is
-	// stored under.
-	Fingerprint string
-	// Submitted, Started and Finished are the lifecycle timestamps
-	// (Started/Finished are zero while not yet reached).
-	Submitted, Started, Finished time.Time
-}
+// The service's job, history and recommendation types, shared verbatim
+// with the HTTP API (see internal/service for their field docs).
+type (
+	// TenantBudget bounds one tenant's admission; zero fields are
+	// unlimited.
+	TenantBudget = service.TenantBudget
+	// JobState is a job's lifecycle position: "queued", "running",
+	// "succeeded", "failed", "cancelled", "shed" (a queued batch job
+	// displaced by interactive work under overload) or "suspended" (parked
+	// by a graceful drain; a restart with Resume requeues it under the same
+	// ID).
+	JobState = service.State
+	// JobStatus is a snapshot of a submitted job. Its Result is shared with
+	// the service (Result and the HTTP API return the same value): read it,
+	// never modify it.
+	JobStatus = service.JobStatus
+	// HistoryEntry summarizes one stored session in the history store.
+	HistoryEntry = service.HistorySummary
+	// RecommendedNeighbor is the provenance of one retrieved history entry.
+	RecommendedNeighbor = service.Neighbor
+	// Recommendation is a zero-execution recommendation: a configuration
+	// blended from the nearest past tuning sessions, served without a
+	// single sample run.
+	Recommendation = service.Recommendation
+)
 
 // Service is a long-running tuning service: a bounded pool of concurrent
 // sessions plus a history store of finished ones, keyed by workload
@@ -129,27 +105,14 @@ func NewService(o ServiceOptions) (*Service, error) {
 		return nil, err
 	}
 	cfg := service.Config{
-		Workers:              o.Workers,
-		QueueCap:             o.QueueCap,
-		Backend:              o.Backend,
-		Resume:               o.Resume,
-		JobRetries:           o.JobRetries,
-		Chaos:                o.Chaos,
-		RecommendK:           o.RecommendK,
-		RecommendMaxDistance: o.RecommendMaxDistance,
-		RecommendConfidence:  o.RecommendConfidence,
-		MaxHistoryKeys:       o.MaxHistoryKeys,
-	}
-	if len(o.Tenants) > 0 {
-		cfg.Tenants = make(map[string]service.TenantBudget, len(o.Tenants))
-		for name, b := range o.Tenants {
-			cfg.Tenants[name] = service.TenantBudget{
-				MaxInFlight:   b.MaxInFlight,
-				SubmitRate:    b.SubmitRate,
-				SubmitBurst:   b.SubmitBurst,
-				MaxClusterSec: b.MaxClusterSec,
-			}
-		}
+		Workers:        o.Workers,
+		QueueCap:       o.QueueCap,
+		Backend:        o.Backend,
+		Resume:         o.Resume,
+		JobRetries:     o.JobRetries,
+		Chaos:          o.Chaos,
+		MaxHistoryKeys: o.MaxHistoryKeys,
+		Tenants:        o.Tenants,
 	}
 	if o.HistoryDir != "" {
 		fs, err := service.NewFileStore(o.HistoryDir)
@@ -164,11 +127,9 @@ func NewService(o ServiceOptions) (*Service, error) {
 	return &Service{svc: service.New(cfg)}, nil
 }
 
-// specOf maps the public Options onto a service job spec.
-func specOf(o Options) (service.JobSpec, error) {
-	if o.Schedule != nil {
-		return service.JobSpec{}, fmt.Errorf("locat: service jobs do not support Schedule; tune with a fixed target size (warm starts cover the size-change scenario)")
-	}
+// spec maps the public Options onto the service's job spec — the one
+// validation and session mapping Tune and the Service share.
+func (o Options) spec() service.JobSpec {
 	return service.JobSpec{
 		Tenant:        o.Tenant,
 		Priority:      service.Priority(o.Priority),
@@ -186,7 +147,15 @@ func specOf(o Options) (service.JobSpec, error) {
 		DisableDAGP:   o.DisableDAGP,
 		ColdStart:     o.ColdStart,
 		Backend:       o.Backend,
-	}, nil
+	}
+}
+
+// specOf is spec for service jobs, which tune one fixed target size.
+func specOf(o Options) (service.JobSpec, error) {
+	if o.Schedule != nil {
+		return service.JobSpec{}, fmt.Errorf("locat: service jobs do not support Schedule; tune with a fixed target size (warm starts cover the size-change scenario)")
+	}
+	return o.spec(), nil
 }
 
 // Submit enqueues a tuning job and returns its ID without blocking.
@@ -199,26 +168,7 @@ func (s *Service) Submit(o Options) (string, error) {
 }
 
 // Status returns the job's current snapshot.
-func (s *Service) Status(id string) (JobStatus, error) {
-	st, err := s.svc.Status(id)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	out := JobStatus{
-		ID:          st.ID,
-		State:       JobState(st.State),
-		Err:         st.Error,
-		Fingerprint: st.Fingerprint,
-		Submitted:   st.Submitted,
-	}
-	if st.Started != nil {
-		out.Started = *st.Started
-	}
-	if st.Finished != nil {
-		out.Finished = *st.Finished
-	}
-	return out, nil
-}
+func (s *Service) Status(id string) (JobStatus, error) { return s.svc.Status(id) }
 
 // Result blocks until the job finishes and returns its tuning result; a
 // failed or cancelled job returns an error.
@@ -231,21 +181,7 @@ func (s *Service) Result(id string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		best:             jr.BestConfig,
-		BestParams:       jr.BestParams,
-		TunedSeconds:     jr.TunedSec,
-		DefaultSeconds:   jr.DefaultSec,
-		OverheadSeconds:  jr.OverheadSec,
-		SamplingSeconds:  jr.SamplingSec,
-		SearchSeconds:    jr.SearchSec,
-		WarmStarted:      jr.WarmStarted,
-		Degraded:         jr.Degraded,
-		FellBack:         jr.FellBack,
-		Runs:             jr.FullRuns + jr.RQARuns,
-		SensitiveQueries: jr.SensitiveQueries,
-		ImportantParams:  jr.ImportantParams,
-	}
+	res := resultOf(jr)
 	if st.Started != nil && st.Finished != nil {
 		res.Elapsed = st.Finished.Sub(*st.Started)
 	}
@@ -260,74 +196,20 @@ func (s *Service) Result(id string) (*Result, error) {
 func (s *Service) Cancel(id string) error { return s.svc.Cancel(id) }
 
 // Jobs returns snapshots of all jobs in submission order.
-func (s *Service) Jobs() []JobStatus {
-	sts := s.svc.Jobs()
-	out := make([]JobStatus, 0, len(sts))
-	for _, st := range sts {
-		j := JobStatus{
-			ID:          st.ID,
-			State:       JobState(st.State),
-			Err:         st.Error,
-			Fingerprint: st.Fingerprint,
-			Submitted:   st.Submitted,
-		}
-		if st.Started != nil {
-			j.Started = *st.Started
-		}
-		if st.Finished != nil {
-			j.Finished = *st.Finished
-		}
-		out = append(out, j)
-	}
-	return out
-}
-
-// HistoryEntry summarizes one stored session in the history store.
-type HistoryEntry struct {
-	// Key is the workload-fingerprint key.
-	Key string
-	// JobID produced the entry; Created is its completion time.
-	JobID   string
-	Created time.Time
-	// TargetGB, TunedSeconds and OverheadSeconds mirror the session result.
-	TargetGB        float64
-	TunedSeconds    float64
-	OverheadSeconds float64
-	// Observations is the number of stored tuning runs.
-	Observations int
-}
+func (s *Service) Jobs() []JobStatus { return s.svc.Jobs() }
 
 // History lists the history store's contents.
-func (s *Service) History() ([]HistoryEntry, error) {
-	sums, err := s.svc.History()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]HistoryEntry, 0, len(sums))
-	for _, h := range sums {
-		out = append(out, HistoryEntry{
-			Key:             h.Key,
-			JobID:           h.JobID,
-			Created:         time.Unix(h.CreatedUnix, 0),
-			TargetGB:        h.TargetGB,
-			TunedSeconds:    h.TunedSec,
-			OverheadSeconds: h.OverheadSec,
-			Observations:    h.Obs,
-		})
-	}
-	return out, nil
-}
+func (s *Service) History() ([]HistoryEntry, error) { return s.svc.History() }
 
 // RecommendOptions tune one zero-execution recommendation.
 type RecommendOptions struct {
-	// K is the number of nearest history entries to retrieve (0: the
-	// service default, normally 5).
+	// K is the number of nearest history entries to retrieve (0: 5).
 	K int
 	// MaxDistance is the feature-space radius past which a history entry no
-	// longer counts as a neighbor (0: the service default, normally 0.75).
+	// longer counts as a neighbor (0: 0.75).
 	MaxDistance float64
 	// MinConfidence is the retrieval-evidence score below which the
-	// recommendation is a miss (0: the service default, normally 0.5).
+	// recommendation is a miss (0: 0.5).
 	MinConfidence float64
 	// Refine, on a confident hit, additionally submits a background tuning
 	// job seeded with the retrieved neighbors; its ID is reported as
@@ -338,65 +220,9 @@ type RecommendOptions struct {
 	NoFallback bool
 }
 
-// RecommendedNeighbor is the provenance of one retrieved history entry.
-type RecommendedNeighbor struct {
-	// JobID produced the entry; Key is its workload-fingerprint key.
-	JobID, Key string
-	// Distance is the feature-space distance to the request's workload;
-	// Weight is the entry's share of the blended configuration.
-	Distance, Weight float64
-	// TunedSeconds and TargetGB mirror the stored session.
-	TunedSeconds, TargetGB float64
-	// Observations is the number of stored tuning runs backing the entry.
-	Observations int
-}
-
-// Recommendation is a zero-execution recommendation: a configuration blended
-// from the nearest past tuning sessions, served without a single sample run.
-type Recommendation struct {
-	// Outcome is "hit" (served from retrieval), "fallback" (low confidence;
-	// a tuning job was submitted as RefineJobID) or "miss" (low confidence
-	// with NoFallback set).
-	Outcome string
-	// BestParams and SparkConf are the distance-weighted blend of the
-	// neighbors' best configurations, snapped onto the knob space.
-	BestParams map[string]float64
-	SparkConf  string
-	// Confidence in [0,1] scores the retrieval evidence.
-	Confidence float64
-	// EstimatedSeconds is the distance-weighted mean of the neighbors'
-	// tuned latencies — an expectation, not a measurement.
-	EstimatedSeconds float64
-	// Neighbors is the retrieval provenance, nearest first.
-	Neighbors []RecommendedNeighbor
-	// RefineJobID is the background tuning job of a refine hit or a
-	// fallback; RefineError records a refine submission that failed.
-	RefineJobID string
-	RefineError string
-}
-
-func recommendationOf(rec *service.Recommendation) *Recommendation {
-	out := &Recommendation{
-		Outcome:          rec.Outcome,
-		BestParams:       rec.BestParams,
-		SparkConf:        rec.SparkConf,
-		Confidence:       rec.Confidence,
-		EstimatedSeconds: rec.EstimatedSec,
-		RefineJobID:      rec.RefineJobID,
-		RefineError:      rec.RefineError,
-	}
-	for _, n := range rec.Neighbors {
-		out.Neighbors = append(out.Neighbors, RecommendedNeighbor{
-			JobID:        n.JobID,
-			Key:          n.Key,
-			Distance:     n.Distance,
-			Weight:       n.Weight,
-			TunedSeconds: n.TunedSec,
-			TargetGB:     n.TargetGB,
-			Observations: n.Obs,
-		})
-	}
-	return out
+// service maps the public options onto the service's retrieval overrides.
+func (ro RecommendOptions) service() service.RecommendOptions {
+	return service.RecommendOptions{K: ro.K, MaxDistance: ro.MaxDistance, MinConfidence: ro.MinConfidence}
 }
 
 // Recommend serves a configuration for the workload immediately, with zero
@@ -409,20 +235,12 @@ func (s *Service) Recommend(o Options, ro RecommendOptions) (*Recommendation, er
 	if err != nil {
 		return nil, err
 	}
-	rec, err := s.svc.Recommend(service.RecommendRequest{
-		JobSpec: spec,
-		RecommendOptions: service.RecommendOptions{
-			K:             ro.K,
-			MaxDistance:   ro.MaxDistance,
-			MinConfidence: ro.MinConfidence,
-		},
-		Refine:     ro.Refine,
-		NoFallback: ro.NoFallback,
+	return s.svc.Recommend(service.RecommendRequest{
+		JobSpec:          spec,
+		RecommendOptions: ro.service(),
+		Refine:           ro.Refine,
+		NoFallback:       ro.NoFallback,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return recommendationOf(rec), nil
 }
 
 // RecommendFromHistory serves a zero-execution recommendation straight from
@@ -438,15 +256,8 @@ func RecommendFromHistory(dir string, o Options, ro RecommendOptions) (*Recommen
 	if err != nil {
 		return nil, err
 	}
-	rec, _, err := service.NewRecommender(fs).Recommend(spec, service.RecommendOptions{
-		K:             ro.K,
-		MaxDistance:   ro.MaxDistance,
-		MinConfidence: ro.MinConfidence,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return recommendationOf(rec), nil
+	rec, _, err := service.NewRecommender(fs).Recommend(spec, ro.service())
+	return rec, err
 }
 
 // Handler returns the service's HTTP+JSON API (see cmd/locat-serve).

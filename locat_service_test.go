@@ -3,6 +3,7 @@ package locat
 import (
 	"io"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -101,6 +102,48 @@ func TestServiceFacade(t *testing.T) {
 	for _, j := range jobs {
 		if j.State != JobState("succeeded") || j.Fingerprint == "" {
 			t.Fatalf("job %+v", j)
+		}
+	}
+}
+
+// TestTuneMatchesServiceJob pins the shared session path: a direct Tune
+// call and a cold one-worker service job with the same options run the
+// same session and report the same result.
+func TestTuneMatchesServiceJob(t *testing.T) {
+	o := fastOpts()
+	o.Cluster = "x86"
+	o.ColdStart = true
+	direct, err := Tune(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(ServiceOptions{Workers: 1, Quiet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	id, err := svc.Submit(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := svc.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"BestParams", served.BestParams, direct.BestParams},
+		{"TunedSeconds", served.TunedSeconds, direct.TunedSeconds},
+		{"DefaultSeconds", served.DefaultSeconds, direct.DefaultSeconds},
+		{"OverheadSeconds", served.OverheadSeconds, direct.OverheadSeconds},
+		{"Runs", served.Runs, direct.Runs},
+		{"SensitiveQueries", served.SensitiveQueries, direct.SensitiveQueries},
+		{"ImportantParams", served.ImportantParams, direct.ImportantParams},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Errorf("%s: service job %v, Tune %v", f.name, f.got, f.want)
 		}
 	}
 }
